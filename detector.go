@@ -63,6 +63,10 @@ var (
 	// ErrClosed reports an operation on a detector that was already flushed
 	// or closed.
 	ErrClosed = errors.New("cep: detector closed")
+	// ErrOutOfOrder reports a Session submission that breaks timestamp
+	// order: a batch whose timestamps decrease, or whose first event is
+	// older than the latest accepted one. The whole submission is refused.
+	ErrOutOfOrder = errors.New("cep: event out of timestamp order")
 )
 
 // Compile-time checks: every runtime flavor — and the Session front door —
@@ -72,7 +76,6 @@ var (
 	_ Detector = (*AdaptiveRuntime)(nil)
 	_ Detector = (*PartitionedRuntime)(nil)
 	_ Detector = (*ShardedRuntime)(nil)
-	_ Detector = (*Fleet)(nil)
 	_ Detector = (*Session)(nil)
 )
 

@@ -49,13 +49,6 @@ func TestDetectorContract(t *testing.T) {
 			}
 			return sr
 		}},
-		{"Fleet", func(t *testing.T) Detector {
-			rt, err := New(pattern(t), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return NewFleet(rt)
-		}},
 		{"Session", func(t *testing.T) Detector {
 			s := NewSession(SessionConfig{})
 			if err := s.Register(QueryConfig{Name: "q", Pattern: pattern(t)}); err != nil {

@@ -419,26 +419,25 @@ func (e *Engine) Subscriptions() []Sub {
 	return out
 }
 
-// ProcessSelected consumes one event the ingress filter index already
-// matched against this engine's subscriptions. slots is the sorted
-// ascending list of hit subscription slots; type dispatch and unary
-// filtering are NOT re-run — the verdict stands in for them. Semantically
-// identical to Process for any event whose slot list is exact. The
-// returned slice is reused by the next call.
-func (e *Engine) ProcessSelected(ev *event.Event, seq uint64, slots []int32) []Tagged {
+// ProcessBatchSelected consumes a batch the ingress filter index already
+// matched against this engine's subscriptions. route is a flat list with
+// one entry per matched event, in ascending event order: the event's index
+// i within evs stored as ^i (so entries start at the negative values),
+// then its hit subscription slots, sorted ascending. Type dispatch and unary filtering are NOT re-run: the verdict
+// stands in for them, so the result is identical to ProcessBatch whenever
+// the slot lists are exact. The i-th event of evs carries sequence number
+// seq0+i, exactly as in ProcessBatch. The returned slice is reused by the
+// next call.
+func (e *Engine) ProcessBatchSelected(evs []*event.Event, seq0 uint64, route []int32) []Tagged {
 	e.out = e.out[:0]
-	e.processSelected(ev, seq, slots)
-	return e.out
-}
-
-// ProcessBatchSelected is the batched form of ProcessSelected: sel lists
-// the matched events' indices within evs (ascending), and the k-th
-// selected event's slot list is slots[slotOff[k]:slotOff[k+1]]. The i-th
-// event of evs carries sequence number seq0+i, exactly as in ProcessBatch.
-func (e *Engine) ProcessBatchSelected(evs []*event.Event, seq0 uint64, sel, slotOff, slots []int32) []Tagged {
-	e.out = e.out[:0]
-	for k, i := range sel {
-		e.processSelected(evs[i], seq0+uint64(i), slots[slotOff[k]:slotOff[k+1]])
+	for k := 0; k < len(route); {
+		i := ^route[k]
+		j := k + 1
+		for j < len(route) && route[j] >= 0 {
+			j++
+		}
+		e.processSelected(evs[i], seq0+uint64(i), route[k+1:j])
+		k = j
 	}
 	return e.out
 }

@@ -82,12 +82,10 @@ func (s *Sampler) Sample() bool {
 // two lanes' counters off one cache line, so independent workers never
 // false-share.
 type LaneCounters struct {
-	// Items counts queue items consumed (an event or a whole batch).
+	// Items counts queue items consumed (each a batch of events).
 	Items Counter
 	// Events counts events processed (batch items expanded).
 	Events Counter
-	// Batches counts batch items among Items.
-	Batches Counter
 	// Matches counts matches emitted by the lane.
 	Matches Counter
 	// Stalls counts back-pressure stalls: sends that found the lane's

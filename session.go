@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -230,23 +231,21 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	return c
 }
 
-// sessionItem is one queue unit: a single event or a whole batch, plus the
-// stream sequence number — the watermark the shared lanes use so queries
-// added mid-stream never observe pre-registration events. A batch item
-// carries the sequence number of its first event (the i-th event is
-// seq+i); the batch slice is owned by the session and shared read-only
-// across every lane.
+// sessionItem is one queue unit: a batch of events — Submit sends a batch
+// of one — plus the stream sequence number of its first event (the i-th
+// event is seq+i), the watermark the shared lanes use so queries added
+// mid-stream never observe pre-registration events. The batch slice is
+// owned by the session and shared read-only across every lane.
 //
-// When the ingress filter index routed the item, the selection fields
-// carry the per-lane verdict: evSlots (single event) or slots/slotOff
-// (batch) list the hit subscription slots of a shared DAG lane, sorted
-// ascending, and sel lists the matched events' indices within the shared
-// batch. Private lanes get sel only — being routed at all is their
-// verdict. Nil selection fields mean "everything", the broadcast shape.
+// When the ingress filter index routed the item, route carries the
+// per-lane verdict in the mqo.Engine.ProcessBatchSelected layout: for each
+// selected event, ascending, its index i within the shared batch stored as
+// ^i (negative), then its hit subscription slots, sorted ascending. Private
+// lanes get no slots — being routed at all is their verdict. A nil route
+// means "everything", the broadcast shape.
 type sessionItem struct {
-	ev    *Event
 	seq   uint64
-	batch []*Event // non-nil for SubmitBatch items; ev is nil then
+	batch []*Event
 	// t0 is the UnixNano submission stamp of a latency-sampled item (0 on
 	// the unsampled fast path): matches this item completes observe
 	// submit→emission detection latency on the lane's histogram. With
@@ -257,20 +256,27 @@ type sessionItem struct {
 	// untraced path): lane workers append dequeue/engine/emit spans to it.
 	tr *trace.Active
 
-	evSlots []int32 // single event, shared lane: hit subscription slots
-	sel     []int32 // batch: matched event indices, ascending
-	slots   []int32 // batch, shared lane: flattened per-event slot lists
-	slotOff []int32 // batch, shared lane: slots[slotOff[k]:slotOff[k+1]] is sel[k]'s list
+	route []int32
+}
+
+// routedEvents counts the selected events of a route.
+func routedEvents(route []int32) int {
+	n := 0
+	for _, v := range route {
+		if v < 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Session is the front door for serving: any number of named queries over
 // one event feed, each query on its own worker lane behind a bounded
-// queue, under one lifecycle and one error model. It subsumes Fleet (many
-// queries, one feed) and composes with ShardedRuntime (one query,
-// partitioned feed): RegisterDetector accepts any Detector, so a query may
-// itself be sharded, partitioned or adaptive. With
-// SessionConfig.ShareSubplans, overlapping queries are grouped onto shared
-// evaluation lanes that compute common sub-joins once.
+// queue, under one lifecycle and one error model. It composes with
+// ShardedRuntime (one query, partitioned feed): RegisterDetector accepts
+// any Detector, so a query may itself be sharded, partitioned or adaptive.
+// With SessionConfig.ShareSubplans, overlapping queries are grouped onto
+// shared evaluation lanes that compute common sub-joins once.
 //
 // Lifecycle: NewSession → Register/RegisterDetector → Start (or let
 // Run/Process auto-start) → Submit/Run → Flush (collect) or Close
@@ -311,6 +317,10 @@ type Session struct {
 	// Retired lanes stay as tombstones — pool lane indices are stable.
 	laneTab atomic.Pointer[[]*sessionLane]
 
+	// The intake block — intakeMu, seq, lastTS — is written by every
+	// submission; the pads keep it off the cache lines of laneTab, tel and
+	// tr, which every worker reads per item.
+	_ [64]byte
 	// intakeMu serializes event intake against lane splicing: Submit holds
 	// the read side across the broadcast, AddQuery/RemoveQuery hold the
 	// write side while they drain and rebuild lanes, so a splice observes a
@@ -318,6 +328,10 @@ type Session struct {
 	intakeMu sync.RWMutex
 	// seq numbers submitted events (1, 2, ...), in submission order.
 	seq atomic.Uint64
+	// lastTS is the latest accepted event timestamp, the watermark the
+	// ordering check compares each submission against.
+	lastTS atomic.Int64
+	_      [64]byte
 
 	// fidx is the ingress filter index (RCU): the feed path loads it
 	// lock-free under intakeMu's read side, and every lane-set mutation
@@ -396,6 +410,7 @@ func (q *sessionQuery) mqoSigs() *mqo.Sigs {
 // NewSession builds an empty session.
 func NewSession(cfg SessionConfig) *Session {
 	s := &Session{cfg: cfg.withDefaults(), byName: make(map[string]*sessionQuery)}
+	s.lastTS.Store(math.MinInt64)
 	s.adapt = newSessionAdapt(s.cfg)
 	s.tel = newSessionTelemetry(s.cfg.Telemetry)
 	s.tr = newSessionTracer(s.cfg.Trace)
@@ -657,29 +672,58 @@ func (s *Session) ensureStarted() error {
 }
 
 // Submit feeds one event to the lanes that can use it, blocking on a full
-// queue (back-pressure). The ingress filter index routes the event to the
-// lanes whose patterns can consume its type (and, with
+// queue (back-pressure). It is SubmitBatch with a batch of one: the same
+// routing, ordering check and accounting, except that BatchesSubmitted
+// counts only SubmitBatch calls. The ingress filter index routes the event
+// to the lanes whose patterns can consume its type (and, with
 // SessionConfig.FilterIndex, whose constant unary predicates it
-// satisfies); lanes with opaque detectors receive everything. All events
-// must be submitted in timestamp order by a single goroutine (or with
-// external ordering); queries consume them concurrently with each other,
-// never with the submitter's next Submit of the same queue slot.
+// satisfies); lanes with opaque detectors receive everything. Events must
+// be submitted in timestamp order: an event older than the latest accepted
+// one is refused with ErrOutOfOrder (equal timestamps are fine). Submit
+// from a single goroutine, or order concurrent submitters externally;
+// queries consume the events concurrently with each other.
 func (s *Session) Submit(e *Event) error {
-	return s.submit(nil, e)
+	return s.submitBatch(nil, []*Event{e}, false)
 }
 
-// submit routes under the intake read lock (so a lane splice never
-// interleaves a send) and the pool's read lock; a non-nil ctx makes each
-// blocking queue send cancellable. After the sends — outside every lock —
-// the event feeds the adaptivity collector, which may run a drift check
-// (and a re-optimization splice) on this goroutine.
-func (s *Session) submit(ctx context.Context, e *Event) error {
-	if e == nil {
-		return ErrNilEvent
+// SubmitBatch sends a timestamp-ordered batch of events to the lanes as ONE
+// queue item per lane — one channel send, one worker wake-up and one lock
+// round per lane for the whole batch, instead of one per event. It is
+// semantically identical to submitting the events one by one: matches,
+// watermarks and adaptivity observations are per event. A batch whose
+// timestamps decrease, or whose first event is older than the latest
+// accepted one, is refused whole with ErrOutOfOrder: nothing is enqueued
+// and no sequence numbers are taken. The caller may reuse the slice as
+// soon as the call returns. An empty batch is a no-op.
+func (s *Session) SubmitBatch(events []*Event) error {
+	return s.submitBatch(nil, events, true)
+}
+
+// submitBatch is the one intake path behind Submit, SubmitBatch, Run and
+// Process; a non-nil ctx makes each blocking queue send cancellable, and
+// counted marks a SubmitBatch call for BatchesSubmitted. Sequence numbers
+// are allocated and the sends happen under the intake read lock (so a lane
+// splice never interleaves a send); the batch then feeds the adaptivity
+// collector outside every lock, which may run a drift check (and a
+// re-optimization splice) on this goroutine.
+func (s *Session) submitBatch(ctx context.Context, events []*Event, counted bool) error {
+	if len(events) == 0 {
+		return nil
+	}
+	for _, e := range events {
+		if e == nil {
+			return ErrNilEvent
+		}
+	}
+	if !s.admit(events) {
+		return s.rejectOutOfOrder(len(events))
 	}
 	var t0 int64
 	if s.tel != nil {
-		s.tel.eventsSubmitted.Inc()
+		s.tel.eventsSubmitted.Add(int64(len(events)))
+		if counted {
+			s.tel.batchesSubmitted.Inc()
+		}
 		if s.tel.sampler.Sample() {
 			t0 = time.Now().UnixNano()
 		}
@@ -689,84 +733,72 @@ func (s *Session) submit(ctx context.Context, e *Event) error {
 		t0 = time.Now().UnixNano()
 	}
 	s.intakeMu.RLock()
-	seq := s.seq.Add(1)
+	last := s.seq.Add(uint64(len(events)))
+	seq0 := last - uint64(len(events)) + 1
 	var tr *trace.Active
 	if s.tr != nil {
-		tr = s.tr.startTrace(seq, 1)
+		tr = s.tr.startTrace(seq0, len(events))
 	}
 	var err error
 	if fi := s.fidx.Load(); fi != nil && !fi.Empty() {
-		err = s.routeOne(ctx, fi, e, seq, t0, tr)
+		err = s.routeBatch(ctx, fi, events, seq0, t0, tr)
 	} else {
 		tr.Span(trace.StageEnqueue, -1, "broadcast")
-		err = sessErr(s.pool.Broadcast(ctx, sessionItem{ev: e, seq: seq, t0: t0, tr: tr}))
+		err = sessErr(s.pool.Broadcast(ctx, sessionItem{batch: ownBatch(events), seq: seq0, t0: t0, tr: tr}))
 	}
 	s.intakeMu.RUnlock()
 	if err != nil {
 		return err
 	}
-	s.observeAdapt(e)
+	s.observeBatchAdapt(events)
 	return nil
 }
 
-// SubmitBatch broadcasts a timestamp-ordered batch of events to every lane
-// as ONE queue item — one channel send, one worker wake-up and one lock
-// round per lane for the whole batch, instead of one per event. It is
-// semantically identical to submitting the events one by one: matches,
-// watermarks and adaptivity observations are per event. The same ordering
-// contract as Submit applies; the caller may reuse the slice as soon as the
-// call returns. An empty batch is a no-op.
-func (s *Session) SubmitBatch(events []*Event) error {
-	return s.submitBatch(nil, events)
-}
-
-// submitBatch is SubmitBatch with a cancellable context, mirroring submit:
-// sequence numbers are allocated and the broadcast happens under the intake
-// read lock, the adaptivity observations after it, outside every lock.
-func (s *Session) submitBatch(ctx context.Context, events []*Event) error {
-	if len(events) == 0 {
-		return nil
-	}
-	for _, e := range events {
-		if e == nil {
-			return ErrNilEvent
-		}
-	}
-	// One defensive copy, shared read-only by every lane: the caller may
-	// reuse its slice immediately, while workers are still processing.
+// ownBatch is the one defensive copy of a submission that reaches a lane,
+// shared read-only by every lane: the caller may reuse its slice as soon as
+// the submit call returns, while workers are still processing.
+func ownBatch(events []*Event) []*Event {
 	batch := make([]*Event, len(events))
 	copy(batch, events)
-	var t0 int64
-	if s.tel != nil {
-		s.tel.eventsSubmitted.Add(int64(len(batch)))
-		s.tel.batchesSubmitted.Inc()
-		if s.tel.sampler.Sample() {
-			t0 = time.Now().UnixNano()
+	return batch
+}
+
+// admit enforces the timestamp-order contract: the batch must be
+// non-decreasing and must not start before the latest accepted timestamp.
+// The watermark advances by CAS-max, since submitters may run concurrently
+// under intakeMu's read side.
+func (s *Session) admit(batch []*Event) bool {
+	for i := 1; i < len(batch); i++ {
+		if batch[i].TS < batch[i-1].TS {
+			return false
 		}
 	}
-	if s.tr != nil && s.tr.prov && t0 == 0 {
-		t0 = time.Now().UnixNano()
+	first, last := batch[0].TS, batch[len(batch)-1].TS
+	for {
+		w := s.lastTS.Load()
+		if first < w {
+			return false
+		}
+		if last == w || s.lastTS.CompareAndSwap(w, last) {
+			return true
+		}
 	}
-	s.intakeMu.RLock()
-	last := s.seq.Add(uint64(len(batch)))
-	seq0 := last - uint64(len(batch)) + 1
-	var tr *trace.Active
-	if s.tr != nil {
-		tr = s.tr.startTrace(seq0, len(batch))
+}
+
+// rejectOutOfOrder reports a refused batch of n events. A closed or
+// never-started session keeps its lifecycle error, which takes precedence
+// over the ordering verdict.
+func (s *Session) rejectOutOfOrder(n int) error {
+	if s.pool.Closed() {
+		return fmt.Errorf("cep: session: %w", ErrClosed)
 	}
-	var err error
-	if fi := s.fidx.Load(); fi != nil && !fi.Empty() {
-		err = s.routeBatch(ctx, fi, batch, seq0, t0, tr)
-	} else {
-		tr.Span(trace.StageEnqueue, -1, "broadcast")
-		err = sessErr(s.pool.Broadcast(ctx, sessionItem{batch: batch, seq: seq0, t0: t0, tr: tr}))
+	if !s.pool.Started() {
+		return sessErr(pool.ErrNotStarted)
 	}
-	s.intakeMu.RUnlock()
-	if err != nil {
-		return err
+	if s.tel != nil {
+		s.tel.eventsRejected.Add(int64(n))
 	}
-	s.observeBatchAdapt(batch)
-	return nil
+	return fmt.Errorf("cep: session: %w", ErrOutOfOrder)
 }
 
 // Run streams an event source through the session until the source is
@@ -803,7 +835,7 @@ func (s *Session) Run(ctx context.Context, src EventSource) error {
 		if e == nil {
 			return s.Drain()
 		}
-		if err := s.submit(ctx, e); err != nil {
+		if err := s.submitBatch(ctx, []*Event{e}, false); err != nil {
 			return err
 		}
 	}
@@ -1054,14 +1086,11 @@ func (l *sessionLane) emitShared(q *sessionQuery, m *Match) {
 }
 
 // observe folds one processed item into the lane's telemetry: item/event/
-// batch/match counts, plus the sampled detection latency when the item
-// carried a submission stamp and completed matches.
+// match counts, plus the sampled detection latency when the item carried a
+// submission stamp and completed matches.
 func (l *sessionLane) observe(it sessionItem, events, matches int) {
 	l.tc.Items.Inc()
 	l.tc.Events.Add(int64(events))
-	if it.batch != nil {
-		l.tc.Batches.Inc()
-	}
 	if matches > 0 {
 		l.tc.Matches.Add(int64(matches))
 		if it.t0 != 0 {
@@ -1070,15 +1099,13 @@ func (l *sessionLane) observe(it sessionItem, events, matches int) {
 	}
 }
 
-// work processes one event on the lane's worker goroutine. On the first
-// processing error a private query is marked dead and later events are
-// dropped (the error is reported through Flush/Close/Err); the other lanes
-// keep running.
+// work processes one queue item in a single wake-up on the lane's worker
+// goroutine. Shared lanes hand the whole batch to the DAG engine; private
+// lanes use the detector's batch entry point when it has one, else fall
+// back to per-event processing. On the first processing error a private
+// query is marked dead and the rest of its stream is dropped (the error is
+// reported through Flush/Close/Err); the other lanes keep running.
 func (l *sessionLane) work(it sessionItem) {
-	if it.batch != nil {
-		l.workBatch(it)
-		return
-	}
 	it.tr.Span(trace.StageDequeue, l.idx, "")
 	if l.eng != nil {
 		var st0 mqo.EngineStats
@@ -1086,59 +1113,8 @@ func (l *sessionLane) work(it sessionItem) {
 			st0 = l.eng.Stats()
 		}
 		var tms []mqo.Tagged
-		if it.evSlots != nil {
-			tms = l.eng.ProcessSelected(it.ev, it.seq, it.evSlots)
-		} else {
-			tms = l.eng.Process(it.ev, it.seq)
-		}
-		if it.tr != nil {
-			l.engineSpan(it.tr, st0)
-		}
-		for _, tm := range tms {
-			l.finishProv(tm.M, it.t0)
-			l.emitShared(l.members[tm.Query], tm.M)
-		}
-		it.tr.Spanf(trace.StageEmit, l.idx, "matches=%d", len(tms))
-		if l.s.tel != nil {
-			l.observe(it, 1, len(tms))
-		}
-		return
-	}
-	q := l.q
-	if q.dead {
-		return
-	}
-	ms, err := q.det.Process(it.ev)
-	if err != nil {
-		l.s.recordErr(q, err)
-		q.dead = true
-		return
-	}
-	if l.s.tr != nil && l.s.tr.prov {
-		l.attachProv(ms, it.t0)
-	}
-	l.s.emit(q, ms)
-	it.tr.Spanf(trace.StageEmit, l.idx, "matches=%d", len(ms))
-	if l.s.tel != nil {
-		l.observe(it, 1, len(ms))
-	}
-}
-
-// workBatch processes one batch item in a single wake-up. Shared lanes hand
-// the whole batch to the DAG engine; private lanes use the detector's batch
-// entry point when it has one, else fall back to per-event processing. The
-// first error kills the query mid-batch, dropping its remainder — the same
-// at-first-error semantics as the per-event path.
-func (l *sessionLane) workBatch(it sessionItem) {
-	it.tr.Span(trace.StageDequeue, l.idx, "")
-	if l.eng != nil {
-		var st0 mqo.EngineStats
-		if it.tr != nil {
-			st0 = l.eng.Stats()
-		}
-		var tms []mqo.Tagged
-		if it.sel != nil {
-			tms = l.eng.ProcessBatchSelected(it.batch, it.seq, it.sel, it.slotOff, it.slots)
+		if it.route != nil {
+			tms = l.eng.ProcessBatchSelected(it.batch, it.seq, it.route)
 		} else {
 			tms = l.eng.ProcessBatch(it.batch, it.seq)
 		}
@@ -1152,8 +1128,8 @@ func (l *sessionLane) workBatch(it sessionItem) {
 		it.tr.Spanf(trace.StageEmit, l.idx, "matches=%d", len(tms))
 		if l.s.tel != nil {
 			n := len(it.batch)
-			if it.sel != nil {
-				n = len(it.sel)
+			if it.route != nil {
+				n = routedEvents(it.route)
 			}
 			l.observe(it, n, len(tms))
 		}
@@ -1165,12 +1141,14 @@ func (l *sessionLane) workBatch(it sessionItem) {
 	}
 	prov := l.s.tr != nil && l.s.tr.prov
 	evs := it.batch
-	if it.sel != nil {
+	if it.route != nil {
 		// Index-routed batch: gather the lane's selected events into the
 		// worker-owned scratch (detectors must not retain the slice).
 		evs = l.selScratch[:0]
-		for _, i := range it.sel {
-			evs = append(evs, it.batch[i])
+		for _, v := range it.route {
+			if v < 0 {
+				evs = append(evs, it.batch[^v])
+			}
 		}
 		l.selScratch = evs
 	}

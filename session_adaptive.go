@@ -193,29 +193,6 @@ func (s *Session) initAdaptLocked() {
 	}
 }
 
-// observeAdapt feeds one submitted event to the collector and runs a drift
-// check every CheckEvery events. It is called on the submitter's goroutine
-// after the broadcast, outside every session lock.
-func (s *Session) observeAdapt(e *Event) {
-	a := s.adapt
-	if a == nil || a.col == nil {
-		return
-	}
-	a.col.Observe(e)
-	if !a.enabled {
-		return
-	}
-	n := a.counter.Add(1)
-	if n%int64(a.cfg.CheckEvery) != 0 {
-		return
-	}
-	if !a.checking.CompareAndSwap(false, true) {
-		return
-	}
-	defer a.checking.Store(false)
-	s.adaptCheck(n)
-}
-
 // rateScreenBand is the per-type rate ratio beyond which the cheap drift
 // screen escalates to a full check. Windowed rate estimates on a stationary
 // stream wobble by a few percent; a 1.2x move is far outside that noise yet
@@ -242,10 +219,11 @@ func ratesMoved(old, cur map[string]float64) bool {
 	return false
 }
 
-// observeBatchAdapt is observeAdapt for a whole submitted batch: one
-// ObserveBatch call into the collector and one counter advance, with at
-// most one drift check per batch however many CheckEvery boundaries the
-// batch crossed.
+// observeBatchAdapt feeds one submitted batch to the collector — one
+// ObserveBatch call and one counter advance — and runs a drift check when
+// the batch crossed a CheckEvery boundary: at most one check per batch
+// however many boundaries it crossed, and none while another submitter's
+// check is running.
 func (s *Session) observeBatchAdapt(evs []*Event) {
 	a := s.adapt
 	if a == nil || a.col == nil || len(evs) == 0 {

@@ -123,21 +123,14 @@ func (s *Session) wireIndexStats() {
 }
 
 // routeScratch is the pooled per-call workspace of the routed feed path.
-// The hits/pairs/perLane/touched slices are reused across calls; the
-// selection slices handed to lanes inside sessionItems are freshly
-// allocated per call — their ownership moves to the workers.
+// Every slice, the per-lane routes included, is reused across calls; the
+// routes handed to lanes inside sessionItems are copied out into one fresh
+// arena per call, whose ownership moves to the workers.
 type routeScratch struct {
 	hits    []filterindex.Hit
 	pairs   []pool.Grouped[sessionItem]
-	perLane []laneRoute
+	perLane [][]int32 // lane index → route being built (sessionItem.route layout)
 	touched []int32
-}
-
-type laneRoute struct {
-	sel      []int32
-	slots    []int32
-	slotOff  []int32
-	hasSlots bool
 }
 
 var routePool = sync.Pool{New: func() any { return &routeScratch{} }}
@@ -174,111 +167,24 @@ func sortHits(h []filterindex.Hit) {
 	}
 }
 
-// routeOne evaluates one event against the index and sends it to the
-// always-lanes plus every lane with at least one subscription hit. Called
-// under intakeMu's read side.
-func (s *Session) routeOne(ctx context.Context, fi *filterindex.Index, e *Event, seq uint64, t0 int64, tr *trace.Active) error {
-	sc := routePool.Get().(*routeScratch)
-	var ti0 filterindex.TypeReport
-	if tr != nil {
-		ti0, _ = fi.TypeInfo(e.Type)
-	}
-	sc.hits = fi.AppendHits(e, sc.hits[:0])
-	sortHits(sc.hits)
-	if tr != nil {
-		// Residual-check count is a delta of the shard's lifetime counter:
-		// exact with a single submitter, approximate under concurrent feeds
-		// (another event of the same type may land between the snapshots).
-		ti1, _ := fi.TypeInfo(e.Type)
-		tr.Spanf(trace.StageFilter, -1,
-			"type=%s subs=%d indexed=%d hits=%d residual_checks=%d always=%d",
-			e.Type, ti1.Subs, ti1.IndexedConstraints, len(sc.hits),
-			ti1.ResidualChecks-ti0.ResidualChecks, len(fi.Always()))
-	}
-	lanes := *s.laneTab.Load()
-	pairs := sc.pairs[:0]
-	for _, lane := range fi.Always() {
-		pairs = append(pairs, pool.Grouped[sessionItem]{Lane: int(lane), Item: sessionItem{ev: e, seq: seq, t0: t0}})
-	}
-	for i := 0; i < len(sc.hits); {
-		lane := sc.hits[i].Lane
-		j := i + 1
-		for j < len(sc.hits) && sc.hits[j].Lane == lane {
-			j++
-		}
-		hi := j
-		ln := lanes[int(lane)]
-		if ln.parts > 1 && sc.hits[i].Slot >= 0 {
-			b := mqo.PartitionBucket(e, ln.partAttr, ln.parts)
-			if tr != nil {
-				tr.Spanf(trace.StagePartition, int(lane), "bucket=%d parts=%d attr=%s owned=%t",
-					b, ln.parts, ln.partAttr, b == ln.part)
-			}
-			if b != ln.part {
-				// Key-partitioned lane that does not own the event's hash
-				// bucket: only its negation intakes (the sorted slot prefix
-				// below negSlots) may see the event — leaf insertions belong to
-				// the owning sibling. (The engine gates leaves itself too; the
-				// router filter is what keeps non-owned traffic off the lane.)
-				for hi = i; hi < j && int(sc.hits[hi].Slot) < ln.negSlots; hi++ {
-				}
-				if hi == i {
-					i = j
-					continue
-				}
-			}
-		}
-		it := sessionItem{ev: e, seq: seq, t0: t0}
-		if sc.hits[i].Slot >= 0 {
-			slots := make([]int32, 0, hi-i)
-			for k := i; k < hi; k++ {
-				slots = append(slots, sc.hits[k].Slot)
-			}
-			it.evSlots = slots
-		}
-		pairs = append(pairs, pool.Grouped[sessionItem]{Lane: int(lane), Item: it})
-		i = j
-	}
-	if tr != nil {
-		for i := range pairs {
-			pairs[i].Item.tr = tr
-			tr.Span(trace.StageEnqueue, pairs[i].Lane, "")
-		}
-		if len(pairs) == 0 {
-			tr.Span(trace.StageEnqueue, -1, "dropped")
-		}
-	}
-	if t := s.tel; t != nil {
-		if len(pairs) == 0 {
-			t.eventsDropped.Inc() // the index proved no lane can use it
-		} else {
-			t.eventsRouted.Add(int64(len(pairs)))
-		}
-	}
-	sc.pairs = pairs
-	err := sessErr(s.pool.SendGroupedCtx(ctx, pairs))
-	putRouteScratch(sc)
-	return err
-}
-
-// routeBatch evaluates each batch event against the index and sends at
-// most ONE item per lane: the whole batch to always-lanes, and the batch
-// plus a per-lane selection (event indices and, for shared DAG lanes,
-// flattened slot lists) to lanes with hits. Per-event sequence numbers are
+// routeBatch evaluates each event against the index and sends at most ONE
+// item per lane: the whole batch to always-lanes, and the batch plus a
+// per-lane route (selected event indices and, for shared DAG lanes, their
+// slot lists) to lanes with hits. Per-event sequence numbers are
 // reconstructed from the item seq plus the selected index, exactly as in
-// the broadcast batch path. Called under intakeMu's read side.
-func (s *Session) routeBatch(ctx context.Context, fi *filterindex.Index, batch []*Event, seq0 uint64, t0 int64, tr *trace.Active) error {
+// the broadcast batch path. The batch is copied only when some lane takes
+// it. Called under intakeMu's read side.
+func (s *Session) routeBatch(ctx context.Context, fi *filterindex.Index, events []*Event, seq0 uint64, t0 int64, tr *trace.Active) error {
 	sc := routePool.Get().(*routeScratch)
 	lanes := *s.laneTab.Load()
-	nl := len(lanes)
-	if cap(sc.perLane) < nl {
-		sc.perLane = make([]laneRoute, nl)
+	if nl := len(lanes); len(sc.perLane) < nl {
+		sc.perLane = append(sc.perLane, make([][]int32, nl-len(sc.perLane))...)
 	}
-	sc.perLane = sc.perLane[:nl]
 	touched := sc.touched[:0]
 	nohit := 0
 	routed := 0
-	for bi, e := range batch {
+	size := 0 // total route length across lanes
+	for bi, e := range events {
 		sc.hits = fi.AppendHits(e, sc.hits[:0])
 		if len(sc.hits) == 0 {
 			nohit++
@@ -294,8 +200,11 @@ func (s *Session) routeBatch(ctx context.Context, fi *filterindex.Index, batch [
 			hi := j
 			if ln := lanes[int(lane)]; ln.parts > 1 && sc.hits[i].Slot >= 0 &&
 				mqo.PartitionBucket(e, ln.partAttr, ln.parts) != ln.part {
-				// Non-owned bucket on a key-partitioned lane: keep only the
-				// negation-intake prefix of the slot hits (see routeOne).
+				// Key-partitioned lane that does not own the event's hash
+				// bucket: only its negation intakes (the sorted slot prefix
+				// below negSlots) may see the event — leaf insertions belong
+				// to the owning sibling. (The engine gates leaves itself too;
+				// the router filter keeps non-owned traffic off the lane.)
 				for hi = i; hi < j && int(sc.hits[hi].Slot) < ln.negSlots; hi++ {
 				}
 				if hi == i {
@@ -303,19 +212,20 @@ func (s *Session) routeBatch(ctx context.Context, fi *filterindex.Index, batch [
 					continue
 				}
 			}
-			lr := &sc.perLane[lane]
-			if lr.sel == nil {
+			r := append(sc.perLane[lane], ^int32(bi))
+			if len(r) == 1 {
 				touched = append(touched, lane)
-				lr.hasSlots = sc.hits[i].Slot >= 0
 			}
-			lr.sel = append(lr.sel, int32(bi))
-			routed++
-			if lr.hasSlots {
-				lr.slotOff = append(lr.slotOff, int32(len(lr.slots)))
+			if sc.hits[i].Slot >= 0 {
+				// Shared lane: carry the hit slots. A private lane's hits
+				// have no slot; being routed is its whole verdict.
 				for k := i; k < hi; k++ {
-					lr.slots = append(lr.slots, sc.hits[k].Slot)
+					r = append(r, sc.hits[k].Slot)
 				}
 			}
+			size += len(r) - len(sc.perLane[lane])
+			sc.perLane[lane] = r
+			routed++
 			i = j
 		}
 	}
@@ -324,28 +234,32 @@ func (s *Session) routeBatch(ctx context.Context, fi *filterindex.Index, batch [
 		// verdicts would swamp the trace at batch sizes, so the span carries
 		// the aggregate — event→lane deliveries and events no lane wanted.
 		tr.Spanf(trace.StageFilter, -1, "events=%d routed=%d nohit=%d always=%d",
-			len(batch), routed, nohit, len(fi.Always()))
+			len(events), routed, nohit, len(fi.Always()))
+	}
+	var batch []*Event
+	if len(touched) > 0 || len(fi.Always()) > 0 {
+		batch = ownBatch(events)
 	}
 	pairs := sc.pairs[:0]
 	for _, lane := range fi.Always() {
 		pairs = append(pairs, pool.Grouped[sessionItem]{Lane: int(lane), Item: sessionItem{batch: batch, seq: seq0, t0: t0}})
 	}
+	// Copy every touched lane's route into one arena: a single allocation
+	// per call however many lanes the batch reaches. The scratch routes are
+	// reset for reuse as they are copied.
+	arena := make([]int32, 0, size)
 	for _, lane := range touched {
-		lr := &sc.perLane[lane]
+		n := len(arena)
+		arena = append(arena, sc.perLane[lane]...)
+		sc.perLane[lane] = sc.perLane[lane][:0]
+		it := sessionItem{batch: batch, seq: seq0, t0: t0, route: arena[n:len(arena):len(arena)]}
 		if tr != nil {
 			if ln := lanes[int(lane)]; ln.parts > 1 {
 				tr.Spanf(trace.StagePartition, int(lane), "parts=%d attr=%s sel=%d",
-					ln.parts, ln.partAttr, len(lr.sel))
+					ln.parts, ln.partAttr, routedEvents(it.route))
 			}
 		}
-		it := sessionItem{batch: batch, seq: seq0, t0: t0, sel: lr.sel}
-		if lr.hasSlots {
-			lr.slotOff = append(lr.slotOff, int32(len(lr.slots)))
-			it.slots = lr.slots
-			it.slotOff = lr.slotOff
-		}
 		pairs = append(pairs, pool.Grouped[sessionItem]{Lane: int(lane), Item: it})
-		sc.perLane[lane] = laneRoute{} // slices moved into the item
 	}
 	if tr != nil {
 		for i := range pairs {
@@ -357,10 +271,9 @@ func (s *Session) routeBatch(ctx context.Context, fi *filterindex.Index, batch [
 		}
 	}
 	if t := s.tel; t != nil {
-		// Count event→lane deliveries (matching routeOne's accounting):
-		// every selected event per touched lane, plus the whole batch for
-		// each always-lane.
-		t.eventsRouted.Add(int64(routed) + int64(len(fi.Always()))*int64(len(batch)))
+		// Count event→lane deliveries: every selected event per touched
+		// lane, plus the whole batch for each always-lane.
+		t.eventsRouted.Add(int64(routed) + int64(len(fi.Always()))*int64(len(events)))
 		if len(fi.Always()) == 0 {
 			// With no always-lanes, a no-hit event reached nothing at all.
 			t.eventsDropped.Add(int64(nohit))

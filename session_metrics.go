@@ -45,13 +45,12 @@ type QueueMetrics struct {
 	// size (0, 0 for retired lanes).
 	Depth    int `json:"depth"`
 	Capacity int `json:"capacity"`
-	// Items counts queue items consumed (an event or a whole batch);
-	// Events counts events processed (batches expanded); Batches the batch
-	// items among Items; Matches the matches the lane emitted; Stalls the
-	// sends that found the queue full and blocked (back-pressure).
+	// Items counts queue items consumed (each a batch of events, one for
+	// Submit); Events counts events processed (batches expanded); Matches
+	// the matches the lane emitted; Stalls the sends that found the queue
+	// full and blocked (back-pressure).
 	Items   int64 `json:"items"`
 	Events  int64 `json:"events"`
-	Batches int64 `json:"batches"`
 	Matches int64 `json:"matches"`
 	Stalls  int64 `json:"stalls"`
 }
@@ -105,22 +104,24 @@ type SessionMetrics struct {
 	// Seq is the stream position: events submitted so far.
 	Seq uint64 `json:"seq"`
 
-	// Feed counters. EventsSubmitted/BatchesSubmitted count accepted
-	// Submit/SubmitBatch traffic; EventsRouted counts per-lane deliveries
-	// on the index-routed path; EventsDropped counts events the ingress
-	// index proved no lane could use (matched nothing, no always-lanes).
+	// Feed counters. EventsSubmitted counts events accepted by Submit and
+	// SubmitBatch, BatchesSubmitted the SubmitBatch calls among them;
+	// EventsRejected counts events refused with ErrOutOfOrder; EventsRouted
+	// counts per-lane deliveries on the index-routed path; EventsDropped
+	// counts events the ingress index proved no lane could use (matched
+	// nothing, no always-lanes).
 	EventsSubmitted  int64 `json:"events_submitted"`
 	BatchesSubmitted int64 `json:"batches_submitted"`
+	EventsRejected   int64 `json:"events_rejected"`
 	EventsRouted     int64 `json:"events_routed"`
 	EventsDropped    int64 `json:"events_dropped"`
 
 	// Worker aggregates: sums over every lane ever created, monotonic
 	// across splices.
-	ItemsProcessed   int64 `json:"items_processed"`
-	EventsProcessed  int64 `json:"events_processed"`
-	BatchesProcessed int64 `json:"batches_processed"`
-	MatchesEmitted   int64 `json:"matches_emitted"`
-	Stalls           int64 `json:"stalls"`
+	ItemsProcessed  int64 `json:"items_processed"`
+	EventsProcessed int64 `json:"events_processed"`
+	MatchesEmitted  int64 `json:"matches_emitted"`
+	Stalls          int64 `json:"stalls"`
 
 	// Latency is the merged sampled detection-latency histogram
 	// (submit → match emission, nanoseconds); P50/P99 are bucket-resolution
@@ -190,6 +191,7 @@ func (s *Session) Metrics() *SessionMetrics {
 		m.Enabled = true
 		m.EventsSubmitted = t.eventsSubmitted.Load()
 		m.BatchesSubmitted = t.batchesSubmitted.Load()
+		m.EventsRejected = t.eventsRejected.Load()
 		m.EventsRouted = t.eventsRouted.Load()
 		m.EventsDropped = t.eventsDropped.Load()
 		m.Journal = t.journal.Snapshot()
@@ -212,7 +214,6 @@ func (s *Session) Metrics() *SessionMetrics {
 			Retired:    l.retired || l.discard,
 			Items:      l.tc.Items.Load(),
 			Events:     l.tc.Events.Load(),
-			Batches:    l.tc.Batches.Load(),
 			Matches:    l.tc.Matches.Load(),
 			Stalls:     l.tc.Stalls.Load(),
 		}
@@ -241,7 +242,6 @@ func (s *Session) Metrics() *SessionMetrics {
 		}
 		m.ItemsProcessed += qm.Items
 		m.EventsProcessed += qm.Events
-		m.BatchesProcessed += qm.Batches
 		m.MatchesEmitted += qm.Matches
 		m.Stalls += qm.Stalls
 		m.Latency.Merge(l.tc.Latency.Snapshot())
@@ -343,17 +343,17 @@ func (s *Session) writeProm(w http.ResponseWriter) {
 	p.Int("cep_events_submitted_total", nil, m.EventsSubmitted)
 	p.Header("cep_batches_submitted_total", "counter", "SubmitBatch calls accepted.")
 	p.Int("cep_batches_submitted_total", nil, m.BatchesSubmitted)
+	p.Header("cep_events_rejected_total", "counter", "Events refused for breaking timestamp order (ErrOutOfOrder).")
+	p.Int("cep_events_rejected_total", nil, m.EventsRejected)
 	p.Header("cep_events_routed_total", "counter", "Per-lane deliveries on the index-routed feed path.")
 	p.Int("cep_events_routed_total", nil, m.EventsRouted)
 	p.Header("cep_events_dropped_total", "counter", "Events the ingress index matched to no lane.")
 	p.Int("cep_events_dropped_total", nil, m.EventsDropped)
 
-	p.Header("cep_items_processed_total", "counter", "Queue items consumed by workers (events or whole batches).")
+	p.Header("cep_items_processed_total", "counter", "Queue items (event batches) consumed by workers.")
 	p.Int("cep_items_processed_total", nil, m.ItemsProcessed)
 	p.Header("cep_events_processed_total", "counter", "Events processed by workers, batches expanded.")
 	p.Int("cep_events_processed_total", nil, m.EventsProcessed)
-	p.Header("cep_batches_processed_total", "counter", "Batch items among the consumed queue items.")
-	p.Int("cep_batches_processed_total", nil, m.BatchesProcessed)
 	p.Header("cep_matches_emitted_total", "counter", "Matches emitted across all lanes.")
 	p.Int("cep_matches_emitted_total", nil, m.MatchesEmitted)
 	p.Header("cep_queue_stalls_total", "counter", "Sends that found a lane queue full and blocked (back-pressure).")

@@ -264,6 +264,8 @@ func TestMetricsHandlerEndpoints(t *testing.T) {
 		"# TYPE cep_events_submitted_total counter",
 		"cep_events_submitted_total 2000",
 		"cep_batches_submitted_total 1",
+		"# TYPE cep_events_rejected_total counter",
+		"cep_events_rejected_total 0",
 		"# TYPE cep_detection_latency_seconds histogram",
 		"cep_detection_latency_seconds_count",
 		"cep_queue_capacity{",

@@ -280,6 +280,12 @@ func (sr *ShardedRuntime) Process(e *Event) ([]*Match, error) {
 // shard's queue is full (back-pressure). A concurrent Close waits for
 // in-flight submissions, so Submit never races a queue close: it either
 // enqueues the event or returns the already-closed error.
+//
+// Unlike Session.Submit, this is not a batch of one: a shard message holds
+// a single event inline, while a one-event sub-batch pays a pooled slice,
+// the regrouping pass and an allocation per event. Sent that way,
+// BenchmarkShardedSubmit measured about 690 vs 390 ns/op (medians of six
+// runs on a 2-vCPU VM), so the per-event path stays.
 func (sr *ShardedRuntime) Submit(e *Event) error {
 	if e == nil {
 		return ErrNilEvent

@@ -54,6 +54,7 @@ func (tc TelemetryConfig) withDefaults() TelemetryConfig {
 type sessionTelemetry struct {
 	eventsSubmitted  telemetry.Counter // events accepted by Submit/SubmitBatch
 	batchesSubmitted telemetry.Counter // SubmitBatch calls accepted
+	eventsRejected   telemetry.Counter // events refused with ErrOutOfOrder
 	eventsRouted     telemetry.Counter // per-lane deliveries on the indexed path
 	eventsDropped    telemetry.Counter // events the index matched to no lane
 
