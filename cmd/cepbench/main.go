@@ -81,10 +81,10 @@
 // (SessionConfig.PartitionWorkers): overlapping fully keyed queries — every
 // positive position chained by k-equality, all sharing one hot (A ⋈ B)
 // sub-join — served by the same sharing session at 1, 2 and 4 partition
-// lanes per component. The quadratic nested-loop combine work divides by
-// the lane count even on one core (each lane probes only its hash bucket's
-// buffer slice), so the speedup is algorithmic, not parallel. Per-query
-// match counts are cross-checked across every lane count. Rows carry fig
+// lanes per component. The engine hash-probes equi-joins, so a lane's
+// probes do not shrink with its key share: what the lanes can add is
+// parallelism. Per-query match counts are cross-checked across every lane
+// count. Rows carry fig
 // "partition-p1"/"partition-p2"/"partition-p4" so cmd/benchdiff's speedup
 // gate (`-min-speedup 1.5 -at fig=partition-p4 -vs fig=partition-p1`) can
 // hold the committed ratio. `-partition-json FILE` writes the rows for CI
@@ -1020,8 +1020,8 @@ type partitionRow struct {
 }
 
 // runPartitionScenario measures key-partitioned shared evaluation on a
-// workload built so the keyed nested-loop combine dominates: a quiet A/B
-// head pair (5% of the stream each) joins first in every plan — cheap and
+// workload built so the keyed join combine dominates: a quiet A/B head
+// pair (5% of the stream each) joins first in every plan — cheap and
 // selective, so the optimizer shares one (A ⋈ B) sub-join across all n
 // queries — and each query extends it to one of eight hot tail symbols
 // (70% of the stream together), every position chained by k-equality. The
@@ -1031,10 +1031,9 @@ type partitionRow struct {
 // event, so the window measures the join buffers directly. Each query
 // count runs at every configured lane count over the same stream; the
 // first lane count (normally 1) is the reference whose per-query match
-// counts every other run must reproduce exactly. The host may have a
-// single core — the expected speedup is algorithmic (N²/P probe work), not
-// parallel. Rows go to stdout as a table and JSON, and to jsonPath when
-// set — the input of cmd/benchdiff's speedup gate.
+// counts every other run must reproduce exactly. Rows go to stdout as a
+// table and JSON, and to jsonPath when set — the input of
+// cmd/benchdiff's speedup gate.
 func runPartitionScenario(events int, queryCounts, laneCounts string, window event.Time, seed int64, jsonPath string) error {
 	parseInts := func(flagName, s string) ([]int, error) {
 		var out []int

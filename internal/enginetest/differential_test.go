@@ -201,8 +201,14 @@ func checkDifferential(seed int64, nQueries, nEvents, batch int) error {
 // hash-partitioned shared lanes), the rest are unconstrained RandomPattern
 // draws whose components have no equi-join key and must take the broadcast
 // fallback. Mixing both in one session is the point: partitioned families,
-// keyless shared lanes and private lanes coexist behind one feed.
-func buildKeyedDifferentialQueries(rng *rand.Rand, nQueries int) []diffQuery {
+// keyless shared lanes and private lanes coexist behind one feed. hostile
+// draws the keyed half as self-joins that may bind the x-less type E
+// (RandomHostileKeyedPattern).
+func buildKeyedDifferentialQueries(rng *rand.Rand, nQueries int, hostile bool) []diffQuery {
+	keyed := RandomKeyedPattern
+	if hostile {
+		keyed = RandomHostileKeyedPattern
+	}
 	qs := make([]diffQuery, nQueries)
 	for i := range qs {
 		window := event.Time(4 + rng.Int63n(13))
@@ -210,7 +216,7 @@ func buildKeyedDifferentialQueries(rng *rand.Rand, nQueries int) []diffQuery {
 		if i%2 == 0 {
 			qs[i] = diffQuery{
 				name: fmt.Sprintf("kq%02d", i),
-				p:    RandomKeyedPattern(rng, window, negation),
+				p:    keyed(rng, window, negation),
 			}
 			continue
 		}
@@ -227,11 +233,19 @@ func buildKeyedDifferentialQueries(rng *rand.Rand, nQueries int) []diffQuery {
 // checkPartitionDifferential asserts exact per-query match-set equality
 // between the reference, the single-lane shared session and the
 // key-partitioned shared session (P = parts lanes per keyed component), per
-// event and batched, broadcast and index-routed.
-func checkPartitionDifferential(seed int64, nQueries, nEvents, batch, parts int) error {
+// event and batched, broadcast and index-routed. hostile switches to the
+// hostile-key variant: HostileKeyedStream's NaN, -0, +0 and x-less events
+// against self-joined keyed patterns, the inputs on which a hash-probed
+// equi-join must still agree with Eq exactly.
+func checkPartitionDifferential(seed int64, nQueries, nEvents, batch, parts int, hostile bool) error {
 	rng := rand.New(rand.NewSource(seed))
-	qs := buildKeyedDifferentialQueries(rng, nQueries)
-	events := Stream(rng, nEvents, TypeNames, 3)
+	qs := buildKeyedDifferentialQueries(rng, nQueries, hostile)
+	var events []*event.Event
+	if hostile {
+		events = HostileKeyedStream(rng, nEvents, 3)
+	} else {
+		events = Stream(rng, nEvents, TypeNames, 3)
+	}
 	want, err := referenceMatches(qs, events)
 	if err != nil {
 		return err
@@ -296,25 +310,34 @@ func TestDifferentialSeeds(t *testing.T) {
 // TestPartitionDifferentialSeeds pins the partitioned axis of the harness:
 // fixed seeds across P ∈ {2, 4, 7} lanes per keyed component, including a
 // prime lane count so no hash bucket pattern lines up with the power-of-two
-// mixing steps.
+// mixing steps, and seeds of the hostile-key variant.
 func TestPartitionDifferentialSeeds(t *testing.T) {
 	cases := []struct {
 		seed            int64
 		queries, events int
 		batch, parts    int
+		hostile         bool
 	}{
-		{11, 4, 400, 16, 2},
-		{12, 6, 500, 64, 4},
-		{13, 3, 300, 1, 4},
-		{14, 5, 450, 7, 7},
-		{15, 2, 250, 32, 2},
-		{16, 6, 350, 128, 7},
+		{11, 4, 400, 16, 2, false},
+		{12, 6, 500, 64, 4, false},
+		{13, 3, 300, 1, 4, false},
+		{14, 5, 450, 7, 7, false},
+		{15, 2, 250, 32, 2, false},
+		{16, 6, 350, 128, 7, false},
+		{31, 4, 400, 16, 2, true},
+		{32, 6, 500, 1, 4, true},
+		{33, 5, 450, 64, 7, true},
+		{34, 2, 300, 8, 3, true},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(fmt.Sprintf("seed=%d/q=%d/n=%d/b=%d/p=%d", tc.seed, tc.queries, tc.events, tc.batch, tc.parts), func(t *testing.T) {
+		name := fmt.Sprintf("seed=%d/q=%d/n=%d/b=%d/p=%d", tc.seed, tc.queries, tc.events, tc.batch, tc.parts)
+		if tc.hostile {
+			name += "/hostile"
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			if err := checkPartitionDifferential(tc.seed, tc.queries, tc.events, tc.batch, tc.parts); err != nil {
+			if err := checkPartitionDifferential(tc.seed, tc.queries, tc.events, tc.batch, tc.parts, tc.hostile); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -331,7 +354,7 @@ func TestPartitionDifferentialSkewedKey(t *testing.T) {
 		t.Run(fmt.Sprintf("key=%v", key), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(21))
-			qs := buildKeyedDifferentialQueries(rng, 4)
+			qs := buildKeyedDifferentialQueries(rng, 4, false)
 			events := KeyedStream(rng, 300, TypeNames, 3, key)
 			want, err := referenceMatches(qs, events)
 			if err != nil {

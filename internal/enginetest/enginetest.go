@@ -8,6 +8,7 @@ package enginetest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/event"
@@ -19,16 +20,21 @@ import (
 	"repro/internal/tree"
 )
 
-// Schemas used by the generated streams.
+// Schemas used by the generated streams. E has no x: it stands for a type
+// whose schema lacks the attribute the keyed patterns join on.
 var Schemas = map[string]*event.Schema{
 	"A": event.NewSchema("A", "x"),
 	"B": event.NewSchema("B", "x"),
 	"C": event.NewSchema("C", "x"),
 	"D": event.NewSchema("D", "x"),
+	"E": event.NewSchema("E", "y"),
 }
 
 // TypeNames lists the generated event types.
 var TypeNames = []string{"A", "B", "C", "D"}
+
+// HostileTypeNames adds the x-less type E to TypeNames.
+var HostileTypeNames = []string{"A", "B", "C", "D", "E"}
 
 // Stream generates n random events over the given types with timestamps
 // advancing by 1..maxGap and attribute x drawn from 0..9, stamped with
@@ -132,14 +138,28 @@ func DescribeDiff(label string, got, want []*match.Match) string {
 // sometimes narrows one position so overlapping keyed queries still differ.
 // No Kleene (keyed queries must stay sharing-eligible).
 func RandomKeyedPattern(rng *rand.Rand, window event.Time, negation bool) *pattern.Pattern {
+	return randomKeyedPattern(rng, window, negation, TypeNames, false)
+}
+
+// RandomHostileKeyedPattern is RandomKeyedPattern over HostileTypeNames
+// with a self-join: a second positive position repeats the first one's
+// type, so one event type is equi-joined with itself.
+func RandomHostileKeyedPattern(rng *rand.Rand, window event.Time, negation bool) *pattern.Pattern {
+	return randomKeyedPattern(rng, window, negation, HostileTypeNames, true)
+}
+
+func randomKeyedPattern(rng *rand.Rand, window event.Time, negation bool, types []string, selfJoin bool) *pattern.Pattern {
 	n := 2 + rng.Intn(3)
 	var terms []pattern.Term
 	for i := 0; i < n; i++ {
-		typ := TypeNames[rng.Intn(len(TypeNames))]
+		typ := types[rng.Intn(len(types))]
 		terms = append(terms, pattern.E(typ, fmt.Sprintf("k%d", i)))
 	}
+	if selfJoin {
+		terms[1+rng.Intn(n-1)].Event.Type = terms[0].Event.Type
+	}
 	if negation {
-		typ := TypeNames[rng.Intn(len(TypeNames))]
+		typ := types[rng.Intn(len(types))]
 		neg := pattern.Not(typ, "neg")
 		at := rng.Intn(len(terms) + 1)
 		terms = append(terms[:at], append([]pattern.Term{neg}, terms[at:]...)...)
@@ -179,6 +199,21 @@ func KeyedStream(rng *rand.Rand, n int, types []string, maxGap int64, key float6
 	}
 	stream := event.NewSliceStream(events)
 	return event.Drain(stream)
+}
+
+// HostileKeyedStream generates n events over HostileTypeNames like Stream,
+// with the join keys an index must treat exactly as Eq does: x is drawn
+// from 0..3, NaN, -0 and +0, and E events carry y in place of x.
+func HostileKeyedStream(rng *rand.Rand, n int, maxGap int64) []*event.Event {
+	keys := []float64{0, 1, 2, 3, math.NaN(), math.Copysign(0, -1), 0}
+	events := make([]*event.Event, 0, n)
+	ts := event.Time(0)
+	for i := 0; i < n; i++ {
+		ts += event.Time(1 + rng.Int63n(maxGap))
+		typ := HostileTypeNames[rng.Intn(len(HostileTypeNames))]
+		events = append(events, event.New(Schemas[typ], ts, keys[rng.Intn(len(keys))]))
+	}
+	return event.Drain(event.NewSliceStream(events))
 }
 
 // RandomPattern builds a random simple pattern over 2..4 positive events

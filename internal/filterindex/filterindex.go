@@ -231,7 +231,10 @@ func (x *Index) AppendHits(e *event.Event, dst []Hit) []Hit {
 	sc := sh.getScratch()
 	for _, g := range sh.groups {
 		v, ok := g.value(e)
-		if !ok {
+		if !ok || v != v {
+			// A missing attribute or a NaN satisfies no indexed
+			// constraint: every comparison with NaN is false, while the
+			// bound scans below would read its failed comparisons as hits.
 			continue
 		}
 		if en := g.eq[v]; en != nil {

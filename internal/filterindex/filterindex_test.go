@@ -1,6 +1,7 @@
 package filterindex
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -159,6 +160,20 @@ func TestMissingAttributeNeverMatches(t *testing.T) {
 		{Lane: 0, Slot: -1, Type: "A", Conds: []pattern.Condition{uc("z", pattern.Ge, 0)}},
 	}, nil)
 	wantHits(t, x, evA(1, 1)) // schema has no z: constraint cannot be satisfied
+}
+
+// TestNaNNeverMatches: a NaN attribute fails every indexed comparison,
+// equality and both bound directions alike, while -0 matches +0.
+func TestNaNNeverMatches(t *testing.T) {
+	x := Build([]Sub{
+		{Lane: 0, Slot: -1, Type: "A", Conds: []pattern.Condition{uc("x", pattern.Ge, 1)}},
+		{Lane: 1, Slot: -1, Type: "A", Conds: []pattern.Condition{uc("x", pattern.Lt, 3)}},
+		{Lane: 2, Slot: -1, Type: "A", Conds: []pattern.Condition{uc("x", pattern.Eq, 0)}},
+		{Lane: 3, Slot: -1, Type: "A", Conds: []pattern.Condition{uc("x", pattern.Le, 0), uc("x", pattern.Gt, -1)}},
+	}, nil)
+	wantHits(t, x, evA(math.NaN(), 0))
+	wantHits(t, x, evA(math.Copysign(0, -1), 0),
+		Hit{Lane: 1, Slot: -1}, Hit{Lane: 2, Slot: -1}, Hit{Lane: 3, Slot: -1})
 }
 
 func TestMatchesAndAlways(t *testing.T) {

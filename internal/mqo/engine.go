@@ -36,7 +36,7 @@ type EngineStats struct {
 	Matches     int64
 	Created     int64 // instances created across all nodes
 	Backfilled  int64 // instances recomputed bottom-up during AdoptFrom
-	Probes      int64 // join combine attempts (pairings tested at join nodes)
+	Probes      int64 // join combine attempts (pairings tested at join nodes; equi-joins test one key's bucket)
 	NegKilled   int64 // matches suppressed by negation checks
 	PeakPartial int   // peak buffered instances
 	Nodes       int   // distinct DAG nodes
@@ -121,10 +121,15 @@ type node struct {
 	leftMap, rightMap []int // child slot -> this node's slot
 	cross             []crossPred
 	needDisjoint      bool // left/right type multisets intersect
+	// keyIdx are the children's indexes on this node's equi-join column,
+	// by side (0 on left, 1 on right); both nil when the node has no
+	// equality predicate and scans its sibling buffers (see joinindex.go).
+	keyIdx [2]*joinIndex
 
 	parents   []edge
 	consumers []consumer
 	buffer    []*inst
+	indexes   []*joinIndex // hash indexes over buffer that parents probe
 
 	// sinceSeq is the stream sequence number from which the buffer is
 	// complete: it holds every live instance all of whose constituents
@@ -142,13 +147,15 @@ func (n *node) isLeaf() bool { return n.left == nil }
 // per-consumer Since watermark filters on. seq holds the per-slot stream
 // sequence numbers when the engine runs with provenance enabled, and is
 // nil otherwise — the invariant is engine-wide, so no per-instance check
-// is needed on the hot path.
+// is needed on the hot path. gen counts the instance's trips through the
+// free list, so join-index entries can tell a recycled instance.
 type inst struct {
 	ev     []*event.Event
 	seq    []uint64
 	minTS  event.Time
 	maxTS  event.Time
 	minSeq uint64
+	gen    uint32
 }
 
 // pending is a completed match held back because a negation's violators may
@@ -181,13 +188,13 @@ type Engine struct {
 	leafSlots []*node
 
 	// Key-partitioned lanes (see partition.go): when partTotal > 1 this
-	// engine owns only events whose partAttr value hashes into bucket
+	// engine owns only events whose partKey value hashes into bucket
 	// partIdx — leaf insertions of other buckets are skipped (negation
 	// buffering is NOT gated: a violator must be visible to all siblings,
 	// whichever lane their matches live on). family is the identity token
 	// shared by the component's sibling engines; AdoptFrom unions a family's
 	// buffers instead of choosing between them.
-	partAttr  string
+	partKey   KeyCol
 	partIdx   int
 	partTotal int
 	family    *partFamily
@@ -263,6 +270,7 @@ func (e *Engine) getInst(slots int) *inst {
 // expired events.
 func (e *Engine) putInst(in *inst) {
 	e.pstats.Puts++
+	in.gen++
 	for i := range in.ev {
 		in.ev[i] = nil
 	}
@@ -276,7 +284,7 @@ func (e *Engine) Names() []string { return append([]string(nil), e.names...) }
 // total hash buckets over the equi-join attribute attr. total <= 1 means
 // the engine is unpartitioned (attr is then empty).
 func (e *Engine) Partition() (idx, total int, attr string) {
-	return e.partIdx, e.partTotal, e.partAttr
+	return e.partIdx, e.partTotal, e.partKey.Attr()
 }
 
 // NegSlotCount returns the number of negation-buffer subscription slots —
@@ -288,7 +296,7 @@ func (e *Engine) NegSlotCount() int { return len(e.negSlots) }
 // ownsEvent reports whether a partitioned engine's leaf intakes own the
 // event; an unpartitioned engine owns everything.
 func (e *Engine) ownsEvent(ev *event.Event) bool {
-	return e.partTotal <= 1 || PartitionBucket(ev, e.partAttr, e.partTotal) == e.partIdx
+	return e.partTotal <= 1 || PartitionBucket(ev, &e.partKey, e.partTotal) == e.partIdx
 }
 
 // Stats returns a copy of the engine counters.
@@ -496,6 +504,9 @@ func (e *Engine) insert(n *node, in *inst) {
 		e.putInst(in)
 		return
 	}
+	for _, ix := range n.indexes {
+		ix.add(in, e.now)
+	}
 	n.buffer = append(n.buffer, in)
 	e.nPartial++
 	if cur := e.CurrentPartial(); cur > e.st.PeakPartial {
@@ -507,20 +518,37 @@ func (e *Engine) insert(n *node, in *inst) {
 		if ed.side == 1 {
 			sib = p.left
 		}
-		// Snapshot: recursive inserts only extend ancestors' buffers, never
-		// the sibling's — except in the self-join case (sib == n), where the
-		// snapshot already contains `in` itself and the event-disjointness
-		// check rejects the self-pairing.
-		sibBuf := sib.buffer
-		for _, other := range sibBuf {
-			li, ri := in, other
-			if ed.side == 1 {
-				li, ri = other, in
+		// Snapshot: recursive inserts only extend ancestors' buffers and
+		// buckets, never the sibling's — except in the self-join case
+		// (sib == n), where the snapshot already contains `in` itself and the
+		// event-disjointness check rejects the self-pairing.
+		if p.keyIdx[0] == nil {
+			for _, other := range sib.buffer {
+				e.pair(p, ed.side, in, other)
 			}
-			if merged := e.combine(p, li, ri); merged != nil {
-				e.insert(p, merged)
+			continue
+		}
+		k, ok := p.keyIdx[ed.side].keyOf(in)
+		if !ok {
+			continue // a NaN or missing key equals no sibling
+		}
+		for _, en := range p.keyIdx[1-ed.side].probe(k, e.now) {
+			if !en.stale() {
+				e.pair(p, ed.side, in, en.in)
 			}
 		}
+	}
+}
+
+// pair combines a new instance arriving on the given side of p with one
+// sibling instance and inserts the merge at p.
+func (e *Engine) pair(p *node, side int, in, other *inst) {
+	li, ri := in, other
+	if side == 1 {
+		li, ri = other, in
+	}
+	if merged := e.combine(p, li, ri); merged != nil {
+		e.insert(p, merged)
 	}
 }
 
@@ -715,6 +743,11 @@ func (e *Engine) compact() {
 		}
 		n.buffer = keep
 		total += len(keep)
+		for _, ix := range n.indexes {
+			if ix.size > 2*len(keep)+sweepSlack {
+				ix.sweep(e.now)
+			}
+		}
 	}
 	e.nPartial = total
 	for _, cons := range e.negCons {
@@ -751,6 +784,9 @@ func (e *Engine) Close() {
 			e.putInst(in)
 		}
 		n.buffer = nil
+		for _, ix := range n.indexes {
+			ix.reset()
+		}
 	}
 	e.pendings = nil
 	e.nPartial = 0
@@ -888,17 +924,31 @@ func (e *Engine) AdoptFrom(olds []*Engine, spliceSeq uint64) {
 			continue
 		}
 		// Backfill: the sub-join was not materialized before, but both
-		// children carry buffers — recompute the cross product once, during
-		// the splice pause. Completeness is bounded by the children's.
+		// children carry buffers — recompute the join once, during the
+		// splice pause, probing the right child's buckets on an equi-join.
+		// Completeness is bounded by the children's.
 		n.sinceSeq = n.left.sinceSeq
 		if n.right.sinceSeq > n.sinceSeq {
 			n.sinceSeq = n.right.sinceSeq
 		}
+		backfill := func(li, ri *inst) {
+			if merged := e.combine(n, li, ri); merged != nil {
+				n.buffer = append(n.buffer, merged)
+				e.st.Backfilled++
+			}
+		}
 		for _, li := range n.left.buffer {
-			for _, ri := range n.right.buffer {
-				if merged := e.combine(n, li, ri); merged != nil {
-					n.buffer = append(n.buffer, merged)
-					e.st.Backfilled++
+			if n.keyIdx[0] == nil {
+				for _, ri := range n.right.buffer {
+					backfill(li, ri)
+				}
+				continue
+			}
+			if k, ok := n.keyIdx[0].keyOf(li); ok {
+				for _, en := range n.keyIdx[1].probe(k, e.now) {
+					if !en.stale() {
+						backfill(li, en.in)
+					}
 				}
 			}
 		}
@@ -946,7 +996,7 @@ func (e *Engine) AdoptFrom(olds []*Engine, spliceSeq uint64) {
 				// the first positive event's bucket decides ownership.
 				evs := pd.m.Positions[nc.c.Positives[0]]
 				if len(evs) == 0 ||
-					PartitionBucket(evs[0], e.partAttr, e.partTotal) != e.partIdx {
+					PartitionBucket(evs[0], &e.partKey, e.partTotal) != e.partIdx {
 					continue
 				}
 			}

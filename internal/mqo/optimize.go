@@ -369,7 +369,7 @@ func buildPartitioned(res *Result, group []*qstate, compID int, attr string, res
 		if err != nil {
 			return err
 		}
-		eng.partAttr, eng.partIdx, eng.partTotal, eng.family = attr, p, opt.Partitions, fam
+		eng.partKey, eng.partIdx, eng.partTotal, eng.family = NewKeyCol(attr), p, opt.Partitions, fam
 		g := Group{
 			Engine: eng, Component: compID,
 			Trees:     make(map[string]*plan.TreeNode, len(group)),
@@ -961,6 +961,12 @@ func buildEngine(group []*qstate) (*Engine, error) {
 							fn = func(a, b *event.Event) bool { return orig(b, a) }
 						}
 						n.cross = append(n.cross, crossPred{l: li, r: ri, fn: fn})
+						// The first equality becomes the hash-probe key.
+						if pr.HasCond && n.keyIdx[0] == nil {
+							if attr, ok := pr.Cond.EqualityJoin(); ok {
+								n.keyIdx = [2]*joinIndex{ln.indexOn(li, attr), rn.indexOn(ri, attr)}
+							}
+						}
 					}
 				}
 			}

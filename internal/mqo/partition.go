@@ -2,7 +2,6 @@ package mqo
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/event"
@@ -26,19 +25,14 @@ import (
 type partFamily struct{ _ byte }
 
 // PartitionBucket maps an event to its partition lane: the hash bucket of
-// its key attribute's value, in [0, parts). The router and the engine-side
-// gate must agree exactly, so both call this one function. A missing
-// attribute hashes as 0 — consistently, so such events still land on
-// exactly one lane (their equality predicates fail there like anywhere
-// else). -0.0 collapses onto +0.0 before hashing because Eq compares them
-// equal; NaN placement is arbitrary for the same reason (NaN != NaN, so a
-// NaN-keyed match can never complete).
-func PartitionBucket(ev *event.Event, attr string, parts int) int {
-	v, _ := ev.Attr(attr)
-	if v == 0 {
-		v = 0 // -0.0 == +0.0 under Eq; make them hash identically too
-	}
-	h := math.Float64bits(v)
+// the key it carries for the equi-join attribute key reads, in [0, parts).
+// The router and the engine-side gate must agree exactly, so both call
+// this one function. An event with no key (missing attribute or NaN, which
+// Eq never pairs) hashes as key 0 — consistently, so such events still
+// land on exactly one lane, where their equality predicates fail like
+// anywhere else.
+func PartitionBucket(ev *event.Event, key *KeyCol, parts int) int {
+	h, _ := key.Read(ev)
 	// splitmix64 finalizer: cheap, well-mixed low bits for the modulo.
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -196,7 +190,7 @@ func (e *Engine) adoptKeep(in *inst) bool {
 		return true
 	}
 	for _, ev := range in.ev {
-		if PartitionBucket(ev, e.partAttr, e.partTotal) != e.partIdx {
+		if PartitionBucket(ev, &e.partKey, e.partTotal) != e.partIdx {
 			return false
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // Sentinel lifecycle errors. Callers translate them into their own error
@@ -94,6 +95,9 @@ type Pool[T any] struct {
 	closed  bool
 	joined  bool
 	wg      sync.WaitGroup
+	// open mirrors started && !closed for Open's lock-free fast path; it
+	// is written under mu's write lock.
+	open atomic.Bool
 
 	// errMu guards err separately from mu: workers record errors while
 	// senders may hold mu's read lock blocked on that worker's full queue.
@@ -248,6 +252,7 @@ func (p *Pool[T]) startLocked() error {
 		return ErrNoLanes
 	}
 	p.started = true
+	p.open.Store(true)
 	for i, l := range p.lanes {
 		if l.retired {
 			continue
@@ -268,6 +273,19 @@ func (p *Pool[T]) openLocked() error {
 		return ErrNotStarted
 	}
 	return nil
+}
+
+// Open reports whether the pool accepts sends: nil when started and not
+// shut down, else ErrNotStarted or ErrClosed. A running pool answers from
+// an atomic flag without taking the lock; a Shutdown racing the caller is
+// still caught by the send path's own check.
+func (p *Pool[T]) Open() error {
+	if p.open.Load() {
+		return nil
+	}
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.openLocked()
 }
 
 // send enqueues with back-pressure, bumping the stall hook when the queue
@@ -454,6 +472,7 @@ func (p *Pool[T]) Shutdown() error {
 		return ErrClosed
 	}
 	p.closed = true
+	p.open.Store(false)
 	if !p.started {
 		p.joined = true
 		p.mu.Unlock()
@@ -480,14 +499,6 @@ func (p *Pool[T]) Started() bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.started
-}
-
-// Closed reports whether the pool was shut down (intake stopped; workers
-// may still be draining).
-func (p *Pool[T]) Closed() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.closed
 }
 
 // Joined reports whether the workers are gone: worker-owned state (per-lane

@@ -49,7 +49,7 @@ func TestNeverStartedShutdown(t *testing.T) {
 	if err := p.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Joined() || !p.Closed() {
+	if !p.Joined() || !errors.Is(p.Open(), ErrClosed) {
 		t.Fatal("never-started pool not closed+joined after Shutdown")
 	}
 }

@@ -170,9 +170,9 @@ type SessionConfig struct {
 	// hash-routed by that attribute's value so each lane owns a disjoint
 	// slice of every shared sub-join's buffers. Each shared node is computed
 	// once per partition — unlike the SharedWorkers split there is no
-	// cross-lane recomputation — and each lane's join probing shrinks with
-	// its buffer share, so the component's total work drops toward 1/P of
-	// the single-lane cost on top of the parallelism. Match sets are
+	// cross-lane recomputation. Equi-joins probe only their key's bucket on
+	// any lane, so the gain is the lanes' parallelism; only joins without an
+	// equality predicate also scan 1/P of the buffer. Match sets are
 	// identical to single-lane evaluation; the arrival ORDER of one query's
 	// matches across partition lanes is unspecified (match sets, not match
 	// sequences, are the invariant). Components with no qualifying key fall
@@ -715,8 +715,16 @@ func (s *Session) submitBatch(ctx context.Context, events []*Event, counted bool
 			return ErrNilEvent
 		}
 	}
+	// The lifecycle verdict comes first: a batch a closed or never-started
+	// session refuses must not move the watermark admit advances.
+	if err := s.pool.Open(); err != nil {
+		return sessErr(err)
+	}
 	if !s.admit(events) {
-		return s.rejectOutOfOrder(len(events))
+		if s.tel != nil {
+			s.tel.eventsRejected.Add(int64(len(events)))
+		}
+		return fmt.Errorf("cep: session: %w", ErrOutOfOrder)
 	}
 	var t0 int64
 	if s.tel != nil {
@@ -783,22 +791,6 @@ func (s *Session) admit(batch []*Event) bool {
 			return true
 		}
 	}
-}
-
-// rejectOutOfOrder reports a refused batch of n events. A closed or
-// never-started session keeps its lifecycle error, which takes precedence
-// over the ordering verdict.
-func (s *Session) rejectOutOfOrder(n int) error {
-	if s.pool.Closed() {
-		return fmt.Errorf("cep: session: %w", ErrClosed)
-	}
-	if !s.pool.Started() {
-		return sessErr(pool.ErrNotStarted)
-	}
-	if s.tel != nil {
-		s.tel.eventsRejected.Add(int64(n))
-	}
-	return fmt.Errorf("cep: session: %w", ErrOutOfOrder)
 }
 
 // Run streams an event source through the session until the source is

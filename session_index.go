@@ -131,6 +131,21 @@ type routeScratch struct {
 	pairs   []pool.Grouped[sessionItem]
 	perLane [][]int32 // lane index → route being built (sessionItem.route layout)
 	touched []int32
+	keys    []mqo.KeyCol // lane index → partition key reader (partitioned lanes)
+}
+
+// bucket returns the event's partition bucket on a partitioned lane. The
+// key reader is the scratch's own, since a KeyCol must not be shared
+// between submitting goroutines.
+func (sc *routeScratch) bucket(lane int, ln *sessionLane, e *Event) int {
+	if len(sc.keys) <= lane {
+		sc.keys = append(sc.keys, make([]mqo.KeyCol, lane+1-len(sc.keys))...)
+	}
+	k := &sc.keys[lane]
+	if k.Attr() != ln.partAttr {
+		*k = mqo.NewKeyCol(ln.partAttr)
+	}
+	return mqo.PartitionBucket(e, k, ln.parts)
 }
 
 var routePool = sync.Pool{New: func() any { return &routeScratch{} }}
@@ -199,7 +214,7 @@ func (s *Session) routeBatch(ctx context.Context, fi *filterindex.Index, events 
 			}
 			hi := j
 			if ln := lanes[int(lane)]; ln.parts > 1 && sc.hits[i].Slot >= 0 &&
-				mqo.PartitionBucket(e, ln.partAttr, ln.parts) != ln.part {
+				sc.bucket(int(lane), ln, e) != ln.part {
 				// Key-partitioned lane that does not own the event's hash
 				// bucket: only its negation intakes (the sorted slot prefix
 				// below negSlots) may see the event — leaf insertions belong

@@ -101,7 +101,7 @@ func TestSessionRejectsOutOfOrder(t *testing.T) {
 
 // TestSessionOrderCheckLifecyclePrecedence: a closed or never-started
 // session reports its lifecycle error even for an event the ordering check
-// would refuse.
+// would refuse, and a refused submission leaves the watermark where it was.
 func TestSessionOrderCheckLifecyclePrecedence(t *testing.T) {
 	var o orderedEvents
 	s := NewSession(SessionConfig{})
@@ -116,6 +116,10 @@ func TestSessionOrderCheckLifecyclePrecedence(t *testing.T) {
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
+	}
+	// The ts=5000 submission was refused, so it set no watermark.
+	if err := s.Submit(o.ev(loginSchema, 1000, 1)); err != nil {
+		t.Fatalf("first Submit after Start = %v: a refused pre-Start submission moved the watermark", err)
 	}
 	if err := s.Submit(o.ev(loginSchema, 6000, 1)); err != nil {
 		t.Fatal(err)
